@@ -719,6 +719,9 @@ func runCaseRange(ctx context.Context, cell *Cell, refOuts []sim.Outcome, in *in
 		}
 		outs, ok := in.runBatch(inputs)
 		if !ok {
+			// A poisoned batch's abandoned goroutine may still read the
+			// inputs array; the next chunk must not overwrite it.
+			inputs = nil
 			for _, ci := range idx {
 				if runCase(cell, refOuts[ci], in, cases[ci], ci, maxEx, trapBase, dc, stCmp) {
 					execs++
@@ -783,6 +786,7 @@ func runRefRange(ctx context.Context, refIn *instance, cases [][]byte, refOuts [
 		}
 		outs, ok := refIn.runBatch(inputs)
 		if !ok {
+			inputs = nil // see runCaseRange
 			for _, ci := range idx {
 				runScalar(ci)
 			}

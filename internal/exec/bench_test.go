@@ -95,38 +95,52 @@ func benchRunProgram() []uint32 {
 	}
 }
 
-// benchRun measures whole-program Executor.Run throughput; the predecode
-// variant includes the per-run cache maintenance (Reset), exactly like
-// the simulator's run path, and the fused variant additionally installs
-// superblocks over the CFG's straight-line extents.
-func benchRun(b *testing.B, pre, fused bool) {
+// newRunExec loads benchRunProgram; pre attaches a decode cache, and
+// fused additionally installs superblocks over the CFG's straight-line
+// extents.
+func newRunExec(tb testing.TB, pre, fused bool) *Executor {
 	e := newExec(isa.RV32I, benchRunProgram()...)
-	var cache *DecodeCache
 	if pre {
-		cache = attachCache(e, isa.RV32I)
+		cache := attachCache(e, isa.RV32I)
 		if fused {
 			code, err := e.Mem.ReadBytes(0, fuzzCodeSpan)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			if cache.Fuse(analysis.StraightLineExtents(code, false)) == 0 {
-				b.Fatal("no fused blocks installed")
+				tb.Fatal("no fused blocks installed")
 			}
 		}
 	}
+	return e
+}
+
+// rerun resets e to the program's entry state, including the per-run
+// cache maintenance the simulator's run path does, and runs it to the
+// halt.
+func rerun(tb testing.TB, e *Executor) {
+	e.CPU.Reset()
+	e.CPU.Mtvec = testHandler
+	e.Halted = false
+	e.InstCount = 0
+	if e.Cache != nil {
+		e.Cache.Reset()
+	}
+	if err := e.Run(20000); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// benchRun measures whole-program Executor.Run throughput; the predecode
+// variant includes the per-run cache maintenance (Reset), exactly like
+// the simulator's run path, and the fused variant additionally installs
+// superblocks.
+func benchRun(b *testing.B, pre, fused bool) {
+	e := newRunExec(b, pre, fused)
 	var insts uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.CPU.Reset()
-		e.CPU.Mtvec = testHandler
-		e.Halted = false
-		e.InstCount = 0
-		if cache != nil {
-			cache.Reset()
-		}
-		if err := e.Run(20000); err != nil {
-			b.Fatal(err)
-		}
+		rerun(b, e)
 		insts += e.InstCount
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
@@ -140,8 +154,8 @@ func BenchmarkRunDirect(b *testing.B) { benchRun(b, false, false) }
 func BenchmarkRunPredecode(b *testing.B) { benchRun(b, true, false) }
 
 // BenchmarkRunFused is the same workload with superblock fusion on top
-// of the predecode; scripts/exec_bench.sh gates the batch+fusion
-// speedup over BenchmarkRunPredecode.
+// of the predecode; scripts/exec_bench.sh gates the fusion speedup over
+// BenchmarkRunPredecode.
 func BenchmarkRunFused(b *testing.B) { benchRun(b, true, true) }
 
 // BenchmarkRunBatch runs 8 fused lanes in lockstep through exec.Batch

@@ -65,6 +65,9 @@ func EdgeSpace() int { return isa.NumOps() * 8 }
 type Hook interface {
 	// OnInst is called before a legal instruction executes, with register
 	// values still holding the input state (for value-coverage rules).
+	// inst is valid only for the duration of the call: the executor
+	// reuses the record for the next instruction, so an implementation
+	// that needs it later must copy the value, never keep the pointer.
 	OnInst(inst *isa.Inst, h *hart.Hart)
 	// OnEdge is called once per executed instruction with a stable
 	// (operation, outcome) edge ID.
@@ -115,6 +118,14 @@ type Executor struct {
 	// TrapCount counts taken traps (telemetry; trap-family runs take many
 	// per test case, user-family runs at most one).
 	TrapCount uint64
+
+	// scratch holds the record of the instruction being executed. Hooks
+	// and handlers receive a pointer to it, never to a cache entry or a
+	// shared fused step, so nothing they do can alias predecoded state;
+	// a field (instead of a local) keeps the copy off the heap, since a
+	// local's address escapes through the handler table and the Hook
+	// interface.
+	scratch isa.Inst
 }
 
 // New builds an executor around existing hart and memory.
@@ -177,17 +188,18 @@ func (e *Executor) stepBudget(budget uint64) {
 	c.stats.Hits++
 	e.InstCount++
 	e.CPU.Mcycle++
-	// Copy the record: hooks receive a pointer, and nothing they see may
-	// alias the cache.
-	in := ent.inst
 	if ent.state == entryIllegal || (ent.fp && !e.CPU.FPEnabled()) {
-		e.trap(in.Op, hart.CauseIllegalInstruction, in.Raw)
+		e.trap(ent.inst.Op, hart.CauseIllegalInstruction, ent.inst.Raw)
 		return
 	}
+	// Copy the record: hooks receive a pointer, and nothing they see may
+	// alias the cache.
+	in := &e.scratch
+	*in = ent.inst
 	if e.Hook != nil {
-		e.Hook.OnInst(&in, e.CPU)
+		e.Hook.OnInst(in, e.CPU)
 	}
-	ent.fn(e, &in)
+	ent.fn(e, in)
 }
 
 // stepSlow is the classical fetch-decode-execute step. With refill set
@@ -204,7 +216,7 @@ func (e *Executor) stepSlow(refill bool) {
 		e.trap(isa.OpIllegal, hart.CauseFetchAccessFault, h.PC)
 		return
 	}
-	var inst isa.Inst
+	inst := &e.scratch
 	switch {
 	case lo&3 == 3:
 		hi, err := e.Mem.Read16(h.PC + 2)
@@ -212,16 +224,16 @@ func (e *Executor) stepSlow(refill bool) {
 			e.trap(isa.OpIllegal, hart.CauseFetchAccessFault, h.PC)
 			return
 		}
-		inst = e.Dec.Decode32(uint32(hi)<<16 | uint32(lo))
+		*inst = e.Dec.Decode32(uint32(hi)<<16 | uint32(lo))
 	case !h.Cfg.Has(isa.ExtC):
 		// Without the C extension the RVC decoder is never entered; the
 		// halfword is simply an illegal encoding.
-		inst = isa.Inst{Op: isa.OpIllegal, Raw: uint32(lo), Size: 2}
+		*inst = isa.Inst{Op: isa.OpIllegal, Raw: uint32(lo), Size: 2}
 	default:
-		inst = e.Dec.DecodeC(lo)
+		*inst = e.Dec.DecodeC(lo)
 	}
 	if refill {
-		e.Cache.fill(h.PC, &inst)
+		e.Cache.fill(h.PC, inst)
 	}
 
 	// Legality for this ISA configuration.
@@ -239,9 +251,9 @@ func (e *Executor) stepSlow(refill bool) {
 	}
 
 	if e.Hook != nil {
-		e.Hook.OnInst(&inst, h)
+		e.Hook.OnInst(inst, h)
 	}
-	handlers[inst.Op](e, &inst)
+	handlers[inst.Op](e, inst)
 }
 
 // trap redirects to the machine trap handler and emits the trap edge.

@@ -382,10 +382,11 @@ func (e *Executor) fusedSlow(c *DecodeCache, st *fusedStep, gen uint64) bool {
 	}
 	// Copy the record: hooks (and, defensively, handlers) must not alias
 	// the shared fused block.
-	in := st.inst
+	in := &e.scratch
+	*in = st.inst
 	if e.Hook != nil {
-		e.Hook.OnInst(&in, e.CPU)
+		e.Hook.OnInst(in, e.CPU)
 	}
-	st.fn(e, &in)
+	st.fn(e, in)
 	return !e.Halted && e.CPU.PC == st.next && c.gen == gen
 }

@@ -201,6 +201,9 @@ type Simulator struct {
 	dec *isa.Decoder
 	eff isa.Config
 	pre *exec.DecodeCache
+	// ex is this simulator's one executor, built on the first run and
+	// reset in place at the start of every later one (see executor).
+	ex *exec.Executor
 }
 
 // New prepares a simulator for a platform. It fails if the variant does
@@ -312,7 +315,7 @@ func (s *Simulator) RunHooked(bs []byte, hook exec.Hook) (out Outcome) {
 			s.PredecodeTimer.ObserveSince(t0)
 		}
 	}
-	e := s.img.NewExecutorCfg(s.eff, s.dec, s.Variant.ExecQuirks)
+	e := s.executor()
 	e.Cache = cache
 	e.Hook = hook
 	defer func() {
@@ -336,6 +339,27 @@ func (s *Simulator) RunHooked(bs []byte, hook exec.Hook) (out Outcome) {
 	}
 	out.Signature = signature
 	return out
+}
+
+// executor returns the simulator's executor reset to the image's entry
+// state: the hart as hart.Reset leaves it (platform wiring kept), PC at
+// the entry point, run counters and the halt flag cleared. Reusing it
+// saves building a hart and an executor per run. It is never shared: a
+// clone builds its own, and a simulator whose run was abandoned by a
+// watchdog is replaced, not reused, by every engine that has one.
+func (s *Simulator) executor() *exec.Executor {
+	e := s.ex
+	if e == nil {
+		e = s.img.NewExecutorCfg(s.eff, s.dec, s.Variant.ExecQuirks)
+		s.ex = e
+		return e
+	}
+	e.CPU.Reset()
+	e.CPU.PC = s.img.Entry
+	e.Halted = false
+	e.InstCount = 0
+	e.TrapCount = 0
+	return e
 }
 
 // PredecodeStats reports the cumulative decode-cache counters of this

@@ -22,6 +22,18 @@ mkdir -p bin
 go build -o bin/rvlint ./cmd/rvlint
 go vet -vettool="$PWD/bin/rvlint" ./...
 
+# The executor's per-instruction path must not heap-allocate: a local
+# whose address reaches a handler or a Hook is moved to the heap on every
+# step. TestRunAllocFree says that the path allocates; this names the
+# line. cache.go's one-time DecodeCache.Clone escape is allowed.
+echo "== escape analysis (internal/exec hot path) =="
+esc=$(go build -gcflags=-m ./internal/exec 2>&1 | grep -E '/(exec|fuse|handlers)\.go:[0-9]+:[0-9]+: moved to heap' || true)
+if [ -n "$esc" ]; then
+  echo "heap escapes on the execution hot path:"
+  echo "$esc"
+  exit 1
+fi
+
 # Optional gates: run when installed (CI installs them; offline dev
 # boxes may not have them).
 if command -v staticcheck >/dev/null 2>&1; then
