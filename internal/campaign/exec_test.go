@@ -2,9 +2,12 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -257,6 +260,62 @@ func TestOpenRecoversKilledRunningJob(t *testing.T) {
 	}
 	if onDisk.State != StateQueued {
 		t.Fatalf("recovery not persisted: disk state %s", onDisk.State)
+	}
+}
+
+// TestQueuedJobWithRetiredBatchField: job.json files written before the
+// batched-lockstep knob was removed may carry "batch": N in their spec.
+// The store decodes job.json non-strictly (unlike HTTP submit), so such
+// a queued job still loads on Open and runs to artifacts byte-identical
+// to the same spec without the field.
+func TestQueuedJobWithRetiredBatchField(t *testing.T) {
+	for _, spec := range []JobSpec{fuzzSpec(2), complianceSpec(1)} {
+		spec.Normalize()
+		want, _ := daemonArtifacts(t, spec)
+
+		payload, err := json.Marshal(&Job{ID: "job-000001", Spec: spec, State: StateQueued, SubmittedNS: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers := fmt.Sprintf(`"workers":%d,`, spec.Workers)
+		old := strings.Replace(string(payload), workers, workers+`"batch":8,`, 1)
+		if old == string(payload) {
+			t.Fatalf("no workers field to splice the batch field after: %s", payload)
+		}
+		envelope := fmt.Sprintf(`{"format":%q,"version":%d,"payload":%s}`, jobFormat, jobVersion, old)
+		dir := t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "job-000001"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "job-000001", jobFileName), []byte(envelope), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(st, SchedulerConfig{})
+		if err != nil {
+			t.Fatalf("open store with a batch-field job: %v", err)
+		}
+		queued, err := s.Get("job-000001")
+		if err != nil || queued.State != StateQueued {
+			s.Close()
+			t.Fatalf("batch-field job did not load as queued: %v %+v", err, queued)
+		}
+		s.Start()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		final, err := s.Wait(ctx, "job-000001")
+		cancel()
+		s.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != StateDone {
+			t.Fatalf("batch-field job finished %s (error %q), want done", final.State, final.Error)
+		}
+		compareArtifacts(t, want, readArtifacts(t, st.ArtifactsDir("job-000001")))
 	}
 }
 

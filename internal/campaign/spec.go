@@ -74,9 +74,6 @@ type JobSpec struct {
 	// fuzz jobs the worker count shapes the corpus (each worker owns a
 	// seed); for compliance it never changes the report.
 	Workers int `json:"workers,omitempty"`
-	// Batch enables batched lockstep execution with this many lanes
-	// per worker (0 disables; artifacts are identical either way).
-	Batch int `json:"batch,omitempty"`
 	// CaseTimeoutSec is the per-case wall-clock watchdog in seconds
 	// (0 disables).
 	CaseTimeoutSec float64 `json:"case_timeout_sec,omitempty"`
@@ -177,9 +174,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Workers < 0 && s.Kind == KindFuzz {
 		return specErrf("fuzz workers must be >= 1, got %d", s.Workers)
-	}
-	if s.Batch < 0 {
-		return specErrf("batch must be >= 0, got %d", s.Batch)
 	}
 	if s.CaseTimeoutSec < 0 {
 		return specErrf("case timeout must be >= 0, got %v", s.CaseTimeoutSec)
@@ -290,7 +284,6 @@ func (s *JobSpec) fuzzConfig() (fuzz.Config, error) {
 	cfg.DisableCustomMutator = s.DisableCustomMutator
 	cfg.DisableFilter = s.DisableFilter
 	cfg.DisablePredecode = s.DisablePredecode
-	cfg.Batch = s.Batch
 	cfg.CaseTimeout = s.caseTimeout()
 	return cfg, nil
 }

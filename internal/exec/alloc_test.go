@@ -15,17 +15,16 @@ func (h *countHook) OnInst(*isa.Inst, *hart.Hart) { h.insts++ }
 func (h *countHook) OnEdge(uint32)                { h.edges++ }
 
 // TestRunAllocFree pins the executor's hot path at zero heap allocations
-// per run in every dispatch mode, with and without a hook: the record a
+// per run on both dispatch paths, with and without a hook: the record a
 // hook or handler sees is the executor's scratch copy, not a per-step
 // heap copy.
 func TestRunAllocFree(t *testing.T) {
 	modes := []struct {
-		name       string
-		pre, fused bool
+		name string
+		pre  bool
 	}{
-		{"direct", false, false},
-		{"predecode", true, false},
-		{"fused", true, true},
+		{"direct", false},
+		{"predecode", true},
 	}
 	for _, m := range modes {
 		for _, hooked := range []bool{false, true} {
@@ -34,7 +33,7 @@ func TestRunAllocFree(t *testing.T) {
 				name += "/hooked"
 			}
 			t.Run(name, func(t *testing.T) {
-				e := newRunExec(t, m.pre, m.fused)
+				e := newRunExec(m.pre)
 				hook := &countHook{}
 				if hooked {
 					e.Hook = hook

@@ -3,7 +3,6 @@ package exec
 import (
 	"testing"
 
-	"rvnegtest/internal/analysis"
 	"rvnegtest/internal/hart"
 	"rvnegtest/internal/isa"
 	"rvnegtest/internal/mem"
@@ -95,22 +94,11 @@ func benchRunProgram() []uint32 {
 	}
 }
 
-// newRunExec loads benchRunProgram; pre attaches a decode cache, and
-// fused additionally installs superblocks over the CFG's straight-line
-// extents.
-func newRunExec(tb testing.TB, pre, fused bool) *Executor {
+// newRunExec loads benchRunProgram; pre attaches a decode cache.
+func newRunExec(pre bool) *Executor {
 	e := newExec(isa.RV32I, benchRunProgram()...)
 	if pre {
-		cache := attachCache(e, isa.RV32I)
-		if fused {
-			code, err := e.Mem.ReadBytes(0, fuzzCodeSpan)
-			if err != nil {
-				tb.Fatal(err)
-			}
-			if cache.Fuse(analysis.StraightLineExtents(code, false)) == 0 {
-				tb.Fatal("no fused blocks installed")
-			}
-		}
+		attachCache(e, isa.RV32I)
 	}
 	return e
 }
@@ -133,10 +121,9 @@ func rerun(tb testing.TB, e *Executor) {
 
 // benchRun measures whole-program Executor.Run throughput; the predecode
 // variant includes the per-run cache maintenance (Reset), exactly like
-// the simulator's run path, and the fused variant additionally installs
-// superblocks.
-func benchRun(b *testing.B, pre, fused bool) {
-	e := newRunExec(b, pre, fused)
+// the simulator's run path.
+func benchRun(b *testing.B, pre bool) {
+	e := newRunExec(pre)
 	var insts uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -147,56 +134,8 @@ func benchRun(b *testing.B, pre, fused bool) {
 }
 
 // BenchmarkRunDirect is the classical fetch-decode-execute loop.
-func BenchmarkRunDirect(b *testing.B) { benchRun(b, false, false) }
+func BenchmarkRunDirect(b *testing.B) { benchRun(b, false) }
 
 // BenchmarkRunPredecode is the same workload on the predecoded fast
 // path; scripts/exec_bench.sh gates its speedup over BenchmarkRunDirect.
-func BenchmarkRunPredecode(b *testing.B) { benchRun(b, true, false) }
-
-// BenchmarkRunFused is the same workload with superblock fusion on top
-// of the predecode; scripts/exec_bench.sh gates the fusion speedup over
-// BenchmarkRunPredecode.
-func BenchmarkRunFused(b *testing.B) { benchRun(b, true, true) }
-
-// BenchmarkRunBatch runs 8 fused lanes in lockstep through exec.Batch
-// (the per-worker shape of the batched fuzz and compliance campaigns);
-// the metric aggregates instructions across all lanes.
-func BenchmarkRunBatch(b *testing.B) {
-	const lanes = 8
-	base := newExec(isa.RV32I, benchRunProgram()...)
-	cache := attachCache(base, isa.RV32I)
-	code, err := base.Mem.ReadBytes(0, fuzzCodeSpan)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if cache.Fuse(analysis.StraightLineExtents(code, false)) == 0 {
-		b.Fatal("no fused blocks installed")
-	}
-	execs := make([]*Executor, lanes)
-	for i := range execs {
-		e := newExec(isa.RV32I, benchRunProgram()...)
-		e.Cache = cache.Clone()
-		execs[i] = e
-	}
-	bt := Batch{Lanes: execs}
-	var insts uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, e := range execs {
-			e.CPU.Reset()
-			e.CPU.Mtvec = testHandler
-			e.Halted = false
-			e.InstCount = 0
-			e.Cache.Reset()
-		}
-		for j, st := range bt.Run(20000) {
-			if st.Err != nil || st.Panicked {
-				b.Fatalf("lane %d: %+v", j, st)
-			}
-		}
-		for _, e := range execs {
-			insts += e.InstCount
-		}
-	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
-}
+func BenchmarkRunPredecode(b *testing.B) { benchRun(b, true) }

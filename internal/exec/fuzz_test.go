@@ -13,8 +13,10 @@ import (
 
 // The differential harness runs the same bytestream through the classical
 // decode loop and the predecoded fast path and demands indistinguishable
-// behaviour: identical hart state, trap causes, memory contents, coverage
-// edge sequences and decoder panics. The selector byte picks the ISA
+// behaviour: identical hart state, trap causes and counts, memory
+// contents, timeout classification, coverage edge sequences and decoder
+// panics. Each path is driven twice, by a Step loop and by the budgeted
+// Executor.Run the simulators use. The selector byte picks the ISA
 // configuration and the decoder/executor quirk set, so quirk-dependent
 // decodes (loose masks, reserved RVC, crash patterns) are diffed too.
 
@@ -54,14 +56,22 @@ type diffResult struct {
 	mem      []byte
 	halted   bool
 	insts    uint64
+	traps    uint64
+	timedOut bool
 	panicked bool
 	panicMsg string
+	stats    CacheStats
 	trace    *diffTrace
 }
 
+// diffLimit is the instruction budget of one differential run.
+const diffLimit = 3000
+
 // runDiff executes bs from address 0 with the trap handler of newExec,
-// bounded by a step budget, and captures everything observable.
-func runDiff(bs []byte, cfg isa.Config, q isa.Quirks, xq Quirks, pre bool) diffResult {
+// bounded by diffLimit instructions, and captures everything observable.
+// pre attaches a decode cache; run drives the executor through
+// Run(diffLimit) instead of a Step loop.
+func runDiff(bs []byte, cfg isa.Config, q isa.Quirks, xq Quirks, pre, run bool) diffResult {
 	m := mem.New(0, 0x8000)
 	if len(bs) > 0x600 {
 		bs = bs[:0x600]
@@ -95,15 +105,51 @@ func runDiff(bs []byte, cfg isa.Config, q isa.Quirks, xq Quirks, pre bool) diffR
 				res.panicMsg = fmt.Sprint(r)
 			}
 		}()
-		for i := 0; i < 3000 && !e.Halted; i++ {
+		if run {
+			res.timedOut = e.Run(diffLimit) == ErrTimeout
+			return
+		}
+		for i := 0; i < diffLimit && !e.Halted; i++ {
 			e.Step()
 		}
+		res.timedOut = !e.Halted
 	}()
 	res.cpu = *cpu
 	res.halted = e.Halted
 	res.insts = e.InstCount
+	res.traps = e.TrapCount
+	res.stats = e.Cache.Stats()
 	res.mem, _ = m.ReadBytes(0, 0x8000)
 	return res
+}
+
+// compareDiff fails on any observable divergence between two runs of bs.
+func compareDiff(t *testing.T, label string, bs []byte, want, got diffResult) {
+	t.Helper()
+	if want.panicked != got.panicked || want.panicMsg != got.panicMsg {
+		t.Fatalf("%s: panic diverged on %x: (%v, %q) vs (%v, %q)",
+			label, bs, want.panicked, want.panicMsg, got.panicked, got.panicMsg)
+	}
+	if want.cpu != got.cpu {
+		t.Fatalf("%s: hart state diverged on %x:\nwant pc=%#x mcause=%#x mtval=%#x minstret=%d\ngot  pc=%#x mcause=%#x mtval=%#x minstret=%d",
+			label, bs, want.cpu.PC, want.cpu.Mcause, want.cpu.Mtval, want.cpu.Minstret,
+			got.cpu.PC, got.cpu.Mcause, got.cpu.Mtval, got.cpu.Minstret)
+	}
+	if want.halted != got.halted || want.insts != got.insts ||
+		want.traps != got.traps || want.timedOut != got.timedOut {
+		t.Fatalf("%s: termination diverged on %x: want (halted=%v n=%d traps=%d timeout=%v) got (halted=%v n=%d traps=%d timeout=%v)",
+			label, bs, want.halted, want.insts, want.traps, want.timedOut,
+			got.halted, got.insts, got.traps, got.timedOut)
+	}
+	if !bytes.Equal(want.mem, got.mem) {
+		t.Fatalf("%s: memory diverged on %x", label, bs)
+	}
+	if !slices.Equal(want.trace.edges, got.trace.edges) {
+		t.Fatalf("%s: coverage edges diverged on %x:\nwant %v\ngot  %v", label, bs, want.trace.edges, got.trace.edges)
+	}
+	if !slices.Equal(want.trace.events, got.trace.events) {
+		t.Fatalf("%s: hook events diverged on %x", label, bs)
+	}
 }
 
 func diffSeeds(f *testing.F) {
@@ -159,29 +205,101 @@ func FuzzExecPredecodeDifferential(f *testing.F) {
 		if sel&0x20 != 0 {
 			xq = Quirks{LinkBeforeAlignCheck: true, SCIgnoresReservation: true, EcallMarksCompletion: true}
 		}
-		slow := runDiff(bs, cfg, q, xq, false)
-		fast := runDiff(bs, cfg, q, xq, true)
-		if slow.panicked != fast.panicked || slow.panicMsg != fast.panicMsg {
-			t.Fatalf("panic diverged on %x: slow (%v, %q) fast (%v, %q)",
-				bs, slow.panicked, slow.panicMsg, fast.panicked, fast.panicMsg)
+		slow := runDiff(bs, cfg, q, xq, false, false)
+		fast := runDiff(bs, cfg, q, xq, true, false)
+		compareDiff(t, "predecode Step", bs, slow, fast)
+		if fast.stats.Hits+fast.stats.Misses != fast.insts {
+			t.Fatalf("cache stats %+v do not account for %d executed instructions on %x",
+				fast.stats, fast.insts, bs)
 		}
-		if slow.cpu != fast.cpu {
-			t.Fatalf("hart state diverged on %x:\nslow pc=%#x mcause=%#x mtval=%#x\nfast pc=%#x mcause=%#x mtval=%#x",
-				bs, slow.cpu.PC, slow.cpu.Mcause, slow.cpu.Mtval,
-				fast.cpu.PC, fast.cpu.Mcause, fast.cpu.Mtval)
+		compareDiff(t, "classical Run", bs, slow, runDiff(bs, cfg, q, xq, false, true))
+		fastRun := runDiff(bs, cfg, q, xq, true, true)
+		compareDiff(t, "predecode Run", bs, slow, fastRun)
+		if fastRun.stats != fast.stats {
+			t.Fatalf("cache stats diverged between Run and Step on %x: %+v vs %+v", bs, fastRun.stats, fast.stats)
 		}
-		if slow.halted != fast.halted || slow.insts != fast.insts {
-			t.Fatalf("termination diverged on %x: slow (halted=%v, n=%d) fast (halted=%v, n=%d)",
-				bs, slow.halted, slow.insts, fast.halted, fast.insts)
+	})
+}
+
+// FuzzExecBatchDifferential runs a batch of overlapping inputs back to
+// back through one predecoded executor setup, the way the simulators
+// reuse theirs: the decode cache is built once from the pristine image
+// and cloned, and before each input the memory is restored to its
+// snapshot, the cache is Reset and the injected bytes are invalidated.
+// Every input must behave exactly like a solo classical Run on a fresh
+// image, so a slot left stale by an earlier input's stores or refills
+// shows up as a divergence.
+func FuzzExecBatchDifferential(f *testing.F) {
+	diffSeeds(f)
+	f.Fuzz(func(t *testing.T, sel uint8, bs []byte) {
+		cfg := fuzzCfgs[int(sel)&3]
+		q := fuzzQuirks[(int(sel)>>2)%len(fuzzQuirks)]
+		var xq Quirks
+		if sel&0x20 != 0 {
+			xq = Quirks{LinkBeforeAlignCheck: true, SCIgnoresReservation: true, EcallMarksCompletion: true}
 		}
-		if !bytes.Equal(slow.mem, fast.mem) {
-			t.Fatalf("memory diverged on %x", bs)
+		if len(bs) > 0x600 {
+			bs = bs[:0x600]
 		}
-		if !slices.Equal(slow.trace.edges, fast.trace.edges) {
-			t.Fatalf("coverage edges diverged on %x:\nslow %v\nfast %v", bs, slow.trace.edges, fast.trace.edges)
+		// The full stream, a truncation and a shifted suffix (distinct
+		// decode phases), then the full stream again over whatever the
+		// shorter inputs left behind.
+		inputs := [][]byte{bs, bs[:(len(bs)/3)*2], bs[len(bs)/3:], bs}
+
+		m := mem.New(0, 0x8000)
+		if err := m.Write32(testHandler, enc(isa.Inst{Op: isa.OpSW, Imm: testHaltAddr})); err != nil {
+			t.Fatal(err)
 		}
-		if !slices.Equal(slow.trace.events, fast.trace.events) {
-			t.Fatalf("hook events diverged on %x", bs)
+		m.Snapshot()
+		dec := &isa.Decoder{Quirks: q}
+		code, err := m.ReadBytes(0, fuzzCodeSpan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewDecodeCache(dec.Predecode(0, code), cfg).Clone()
+
+		for i, in := range inputs {
+			m.Restore()
+			if err := m.LoadImage(0, in); err != nil {
+				t.Fatal(err)
+			}
+			cache.Reset()
+			if n := uint32(len(in)+3) &^ 3; n > 0 {
+				cache.InvalidateRange(0, n)
+			}
+			before := cache.Stats()
+
+			cpu := hart.New(cfg)
+			cpu.Mtvec = testHandler
+			e := New(cpu, m, dec)
+			e.HaltAddr = testHaltAddr
+			e.Quirks = xq
+			e.Cache = cache
+			tr := &diffTrace{}
+			e.Hook = tr
+			got := diffResult{trace: tr}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						got.panicked = true
+						got.panicMsg = fmt.Sprint(r)
+					}
+				}()
+				got.timedOut = e.Run(diffLimit) == ErrTimeout
+			}()
+			got.cpu = *cpu
+			got.halted = e.Halted
+			got.insts = e.InstCount
+			got.traps = e.TrapCount
+			got.mem, _ = m.ReadBytes(0, 0x8000)
+
+			want := runDiff(in, cfg, q, xq, false, true)
+			compareDiff(t, fmt.Sprintf("batch[%d]", i), in, want, got)
+			after := cache.Stats()
+			if d := (after.Hits - before.Hits) + (after.Misses - before.Misses); d != got.insts {
+				t.Fatalf("batch[%d]: cache stats moved by %d for %d executed instructions on %x",
+					i, d, got.insts, in)
+			}
 		}
 	})
 }

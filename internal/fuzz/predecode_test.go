@@ -3,10 +3,13 @@ package fuzz
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rvnegtest/internal/coverage"
 	"rvnegtest/internal/obs"
+	"rvnegtest/internal/sim"
 )
 
 // TestPredecodeAblationBitIdentical is the campaign-level determinism
@@ -129,4 +132,68 @@ func TestPredecodeCountersObserveCache(t *testing.T) {
 			t.Errorf("predecode disabled but %s = %d", name, v)
 		}
 	}
+}
+
+// TestPredecodeCountersSaneAcrossFaultsAndResume is the counter-clamping
+// regression test: across watchdog reaps (the target is rebuilt and its
+// cache counters restart from zero; the abandoned target's stats are
+// never read) and a checkpoint/resume (a fresh target and registry), the
+// predecode_* telemetry totals must never underflow — an underflowed
+// uint64 delta would show up as an astronomically large counter value.
+func TestPredecodeCountersSaneAcrossFaultsAndResume(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	var calls atomic.Int64 // Plan runs on guard goroutines, not the test's
+	plan := func([]byte) sim.Fault {
+		if calls.Add(1)%120 == 0 {
+			return sim.FaultWedge
+		}
+		return sim.FaultNone
+	}
+	names := []string{
+		"rvnegtest_fuzz_predecode_hits_total",
+		"rvnegtest_fuzz_predecode_misses_total",
+		"rvnegtest_fuzz_predecode_invalidations_total",
+	}
+	checkSane := func(phase string, reg *obs.Registry) {
+		for _, n := range names {
+			if v := reg.Counter(n).Value(); v > 1<<60 {
+				t.Fatalf("%s: %s = %d (uint64 underflow: a delta was computed from a stale or reset snapshot)", phase, n, v)
+			}
+		}
+		if reg.Counter(names[0]).Value() == 0 {
+			t.Fatalf("%s: predecode hit counter is zero despite cached execution", phase)
+		}
+	}
+
+	cfg := smallConfig(coverage.V1(), 53)
+	cfg.CaseTimeout = 50 * time.Millisecond
+	cfg.NewTarget = faultyFactory(plan, "", release)
+	cfg.Obs = obs.NewRegistry()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Run(1200, 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.Stats().HarnessFaults == 0 {
+		t.Fatal("no watchdog reaps before the checkpoint; the rebuild path was not exercised")
+	}
+	checkSane("pre-checkpoint", cfg.Obs)
+	dir := t.TempDir()
+	if err := f.SaveCheckpoint(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg2 := cfg
+	cfg2.Obs = obs.NewRegistry()
+	f2, err := Resume(cfg2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f2.Run(2400, 0); err != nil {
+		t.Fatal(err)
+	}
+	checkSane("post-resume", cfg2.Obs)
 }

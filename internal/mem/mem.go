@@ -60,7 +60,7 @@ func (m *Memory) check(addr, size uint32, write bool) ([]byte, error) {
 		return nil, &AccessError{Addr: addr, Size: size, Write: write}
 	}
 	off := addr - m.base
-	if write && m.dirty != nil {
+	if write && m.dirty != nil && size > 0 {
 		for p := off >> pageBits; p <= (off+size-1)>>pageBits; p++ {
 			m.dirty[p>>6] |= 1 << (p & 63)
 		}

@@ -157,6 +157,21 @@ func TestLoadImageAndReadBytes(t *testing.T) {
 	}
 }
 
+// TestEmptyWriteAfterSnapshot: a zero-length write at the lowest address
+// of a tracked memory is a no-op that marks no page dirty.
+func TestEmptyWriteAfterSnapshot(t *testing.T) {
+	m := New(0x100, 0x100)
+	m.Snapshot()
+	if err := m.LoadImage(0x100, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range m.dirty {
+		if w != 0 {
+			t.Errorf("dirty word %d = %#x after an empty write", i, w)
+		}
+	}
+}
+
 func TestClone(t *testing.T) {
 	m := New(0, 0x1000)
 	_ = m.Write32(0, 42)

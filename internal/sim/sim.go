@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"rvnegtest/internal/analysis"
 	"rvnegtest/internal/exec"
 	"rvnegtest/internal/hart"
 	"rvnegtest/internal/isa"
@@ -234,13 +233,6 @@ func New(v *Variant, p template.Platform) (*Simulator, error) {
 // Clones share the immutable predecode and only copy the derived entry
 // table. A layout without a text window ahead of the data base yields no
 // cache (the simulator then always takes the classical path).
-//
-// On top of the per-slot entries, the harness's straight-line basic
-// blocks (from the analysis CFG, reference decoding) are fused into
-// block handlers. The extents are hints: Fuse re-validates every block
-// against this variant's own quirked decode and truncates at any
-// divergence, and injection-range invalidation splits fused blocks back
-// to per-slot entries, so fusion is outcome-invisible.
 func predecodeImage(img *template.Image, dec *isa.Decoder, eff isa.Config) *exec.DecodeCache {
 	l := img.Platform.Layout
 	if l.DataBase <= l.TextBase {
@@ -250,9 +242,7 @@ func predecodeImage(img *template.Image, dec *isa.Decoder, eff isa.Config) *exec
 	if err != nil {
 		return nil
 	}
-	c := exec.NewDecodeCache(dec.Predecode(l.TextBase, code), eff)
-	c.Fuse(analysis.StraightLineExtents(code, img.Platform.Family == template.FamilyTrap))
-	return c
+	return exec.NewDecodeCache(dec.Predecode(l.TextBase, code), eff)
 }
 
 // Clone returns an independent simulator for the same variant and

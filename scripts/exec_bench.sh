@@ -3,10 +3,8 @@
 # classical decode loop and publish BENCH_exec.json.
 #
 # Three layers, old path vs. new path:
-#   - Executor.Run instruction throughput (BenchmarkRunDirect/Predecode/
-#     Fused/Batch); two gates: predecode over direct (< MIN_SPEEDUP
-#     fails) and fusion (BenchmarkRunFused, no batching) over the
-#     predecode baseline (< MIN_FUSED_SPEEDUP fails).
+#   - Executor.Run instruction throughput (BenchmarkRunDirect/Predecode);
+#     gated: a predecode speedup over direct below MIN_SPEEDUP fails.
 #   - fuzzer executions/second (BenchmarkFuzzerThroughput[NoPredecode])
 #   - compliance cases/second (BenchmarkTableIParallel1 / NoPredecode)
 #
@@ -23,11 +21,10 @@ FUZZ_COUNT="${FUZZ_COUNT:-3}"
 FUZZ_BENCHTIME="${FUZZ_BENCHTIME:-30000x}"
 TABLE_COUNT="${TABLE_COUNT:-3}"
 MIN_SPEEDUP="${MIN_SPEEDUP:-1.5}"
-MIN_FUSED_SPEEDUP="${MIN_FUSED_SPEEDUP:-2.0}"
 
 cd "$(dirname "$0")/.."
 
-run_raw=$(go test -run '^$' -bench 'BenchmarkRun(Direct|Predecode|Fused|Batch)$' \
+run_raw=$(go test -run '^$' -bench 'BenchmarkRun(Direct|Predecode)$' \
   -benchtime "$BENCHTIME" -count "$COUNT" ./internal/exec/)
 echo "$run_raw"
 
@@ -40,7 +37,7 @@ table_raw=$(go test -run '^$' -bench 'BenchmarkTableI(Parallel1|NoPredecode)$' \
 echo "$table_raw"
 
 # Benchmark names carry a -GOMAXPROCS suffix on multi-CPU machines
-# ("BenchmarkRunFused-2"); the helpers match the name without it.
+# ("BenchmarkRunPredecode-2"); the helpers match the name without it.
 # min_ns NAME_REGEX <<< raw: the best ns/op of all matching lines.
 min_ns() {
   awk -v re="$1" '{ name = $1; sub(/-[0-9]+$/, "", name) }
@@ -57,39 +54,30 @@ max_metric() {
 
 run_direct=$(min_ns '^BenchmarkRunDirect$' <<< "$run_raw")
 run_pre=$(min_ns '^BenchmarkRunPredecode$' <<< "$run_raw")
-run_fused=$(min_ns '^BenchmarkRunFused$' <<< "$run_raw")
 minst_direct=$(max_metric '^BenchmarkRunDirect$' 'Minst/s' <<< "$run_raw")
 minst_pre=$(max_metric '^BenchmarkRunPredecode$' 'Minst/s' <<< "$run_raw")
-minst_fused=$(max_metric '^BenchmarkRunFused$' 'Minst/s' <<< "$run_raw")
-minst_batch=$(max_metric '^BenchmarkRunBatch$' 'Minst/s' <<< "$run_raw")
 fuzz_pre=$(max_metric '^BenchmarkFuzzerThroughput$' 'execs/s' <<< "$fuzz_raw")
 fuzz_direct=$(max_metric '^BenchmarkFuzzerThroughputNoPredecode$' 'execs/s' <<< "$fuzz_raw")
 table_pre=$(max_metric '^BenchmarkTableIParallel1$' 'cases/s' <<< "$table_raw")
 table_direct=$(max_metric '^BenchmarkTableINoPredecode$' 'cases/s' <<< "$table_raw")
 
-awk -v d="$run_direct" -v p="$run_pre" -v f="$run_fused" \
-    -v md="$minst_direct" -v mp="$minst_pre" -v mf="$minst_fused" -v mb="$minst_batch" \
+awk -v d="$run_direct" -v p="$run_pre" -v md="$minst_direct" -v mp="$minst_pre" \
     -v fd="$fuzz_direct" -v fp="$fuzz_pre" -v td="$table_direct" -v tp="$table_pre" \
-    -v gate="$MIN_SPEEDUP" -v fgate="$MIN_FUSED_SPEEDUP" -v out="$OUT" 'BEGIN {
-  if (d == 0 || p == 0 || f == 0 || mb == 0 || fd == 0 || fp == 0 || td == 0 || tp == 0) {
+    -v gate="$MIN_SPEEDUP" -v out="$OUT" 'BEGIN {
+  if (d == 0 || p == 0 || fd == 0 || fp == 0 || td == 0 || tp == 0) {
     print "error: benchmark output missing" > "/dev/stderr"; exit 1
   }
   speedup = d / p
-  fspeedup = p / f
   printf "{\n" \
-         "  \"run_ns_direct\": %.1f,\n  \"run_ns_predecode\": %.1f,\n  \"run_ns_fused\": %.1f,\n" \
+         "  \"run_ns_direct\": %.1f,\n  \"run_ns_predecode\": %.1f,\n" \
          "  \"run_minst_per_sec_direct\": %.2f,\n  \"run_minst_per_sec_predecode\": %.2f,\n" \
-         "  \"run_minst_per_sec_fused\": %.2f,\n  \"run_minst_per_sec_batch\": %.2f,\n" \
          "  \"run_speedup\": %.3f,\n  \"min_speedup\": %.2f,\n" \
-         "  \"fused_speedup\": %.3f,\n  \"min_fused_speedup\": %.2f,\n" \
          "  \"fuzz_execs_per_sec_direct\": %.0f,\n  \"fuzz_execs_per_sec_predecode\": %.0f,\n" \
          "  \"compliance_cases_per_sec_direct\": %.0f,\n  \"compliance_cases_per_sec_predecode\": %.0f\n" \
-         "}\n", d, p, f, md, mp, mf, mb, speedup, gate, fspeedup, fgate, fd, fp, td, tp > out
+         "}\n", d, p, md, mp, speedup, gate, fd, fp, td, tp > out
   printf "Executor.Run speedup: %.2fx (direct %.0fns/op -> predecoded %.0fns/op, gate %.2fx)\n", speedup, d, p, gate
-  printf "fusion speedup: %.2fx over predecode (%.0fns/op -> %.0fns/op, gate %.2fx; batch %.1f Minst/s)\n", fspeedup, p, f, fgate, mb
   printf "fuzz: %.0f -> %.0f execs/s; compliance: %.0f -> %.0f cases/s\n", fd, fp, td, tp
   if (speedup < gate) { print "error: Executor.Run speedup below gate" > "/dev/stderr"; exit 1 }
-  if (fspeedup < fgate) { print "error: fusion speedup below gate" > "/dev/stderr"; exit 1 }
 }'
 
 echo "written: $OUT"

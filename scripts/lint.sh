@@ -27,7 +27,7 @@ go vet -vettool="$PWD/bin/rvlint" ./...
 # step. TestRunAllocFree says that the path allocates; this names the
 # line. cache.go's one-time DecodeCache.Clone escape is allowed.
 echo "== escape analysis (internal/exec hot path) =="
-esc=$(go build -gcflags=-m ./internal/exec 2>&1 | grep -E '/(exec|fuse|handlers)\.go:[0-9]+:[0-9]+: moved to heap' || true)
+esc=$(go build -gcflags=-m ./internal/exec 2>&1 | grep -E '/(exec|handlers)\.go:[0-9]+:[0-9]+: moved to heap' || true)
 if [ -n "$esc" ]; then
   echo "heap escapes on the execution hot path:"
   echo "$esc"
