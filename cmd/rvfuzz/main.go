@@ -96,16 +96,6 @@ func main() {
 		fatalf("%v", err)
 	}
 
-	campaignMode := ckptDir != "" || shared.Workers > 1
-	if campaignMode {
-		if ckptDir != "" && *seconds != 0 {
-			fatalf("-seconds cannot be combined with checkpointing; resume needs a deterministic -execs bound")
-		}
-		if *execs == 0 {
-			fatalf("campaign mode needs -execs (the per-worker budget)")
-		}
-	}
-
 	telemetry, err := shared.OpenTelemetry("rvfuzz")
 	if err != nil {
 		fatalf("%v", err)
@@ -114,12 +104,8 @@ func main() {
 	env := shared.Env(ckptDir, telemetry)
 	env.WallBudget = dur
 
-	ctx := context.Background()
-	if campaignMode {
-		var stop context.CancelFunc
-		ctx, stop = signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-		defer stop()
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	res, err := campaign.Execute(ctx, spec, env)
 	if errors.Is(err, campaign.ErrInterrupted) {
 		if ckptDir != "" {
@@ -138,10 +124,10 @@ func main() {
 	if *seedSuite != "" {
 		fmt.Printf("seeded with %d prior test cases\n", res.SeedCases)
 	}
-	if res.CampaignMode {
-		fmt.Printf("configuration %s on %v (seed %d, %d workers)\n", *cov, isaCfg, *seed, shared.Workers)
+	if len(res.WorkerStats) > 1 {
+		fmt.Printf("configuration %s on %v (seed %d, %d workers)\n", *cov, isaCfg, *seed, len(res.WorkerStats))
 		fmt.Printf("executions:     %d total\n", res.TotalExecs)
-		fmt.Printf("test cases:     %d (merged)\n", res.MergedCases)
+		fmt.Printf("test cases:     %d (merged)\n", len(suite.Cases))
 		if res.TotalFaults > 0 {
 			fmt.Printf("harness faults: %d (see quarantine directory)\n", res.TotalFaults)
 		}
@@ -165,7 +151,7 @@ func main() {
 			fmt.Print(st.Filter.String())
 		}
 		if *minimize {
-			fmt.Printf("minimized:      %d -> %d cases\n", res.MinimizedFrom, len(suite.Cases))
+			fmt.Printf("minimized:      %d -> %d cases\n", st.TestCases, len(suite.Cases))
 		}
 	}
 	if *stats {

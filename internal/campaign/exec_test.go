@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"rvnegtest/internal/fuzz"
 )
 
 func fuzzSpec(workers int) JobSpec {
@@ -132,6 +134,54 @@ func TestDaemonFuzzParity(t *testing.T) {
 		}
 		if _, ok := got[ArtifactFuzzStats]; !ok {
 			t.Fatal("fuzz job produced no stats artifact")
+		}
+	}
+}
+
+// TestFuzzDriverParity: fuzz artifacts do not depend on the driver. An
+// uncheckpointed Execute (the plain CLI run), a checkpointed one (the
+// kill/resume path) and the daemon scheduler write byte-identical
+// suite.txt and stats.json, at one worker as at several.
+func TestFuzzDriverParity(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			spec := fuzzSpec(workers)
+			res, err := Execute(context.Background(), spec, Env{})
+			if err != nil {
+				t.Fatalf("uncheckpointed execute: %v", err)
+			}
+			dir := t.TempDir()
+			if err := res.WriteArtifacts(dir); err != nil {
+				t.Fatal(err)
+			}
+			want := readArtifacts(t, dir)
+			compareArtifacts(t, want, directArtifacts(t, spec))
+			got, _ := daemonArtifacts(t, spec)
+			compareArtifacts(t, want, got)
+		})
+	}
+}
+
+// TestTrapMinimizeKeepsDirectedProbes: a minimized single-worker trap
+// suite still ends with every directed privileged probe. Minimization
+// runs on the fuzzed corpus only; the probes are appended afterwards,
+// since each one exists to witness a seeded defect class whatever the
+// coverage replay thinks of it.
+func TestTrapMinimizeKeepsDirectedProbes(t *testing.T) {
+	spec := JobSpec{Kind: KindFuzz, Suite: "trap", Seed: 3, Execs: 5000, Workers: 1, Minimize: true}
+	res, err := Execute(context.Background(), spec, Env{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := fuzz.TrapDirectedCases()
+	cases := res.Suite.Cases
+	if len(cases) < len(probes) {
+		t.Fatalf("suite has %d cases, fewer than the %d probes", len(cases), len(probes))
+	}
+	tail := cases[len(cases)-len(probes):]
+	for i, p := range probes {
+		if string(tail[i]) != string(p) {
+			t.Errorf("probe %d (%x) missing from the suite tail", i, p)
 		}
 	}
 }

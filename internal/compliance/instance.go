@@ -168,15 +168,11 @@ func (in *instance) notePredecode() {
 		return
 	}
 	cur := ps.PredecodeStats()
-	prev := in.lastPre
+	d := cur.Since(in.lastPre)
 	in.lastPre = cur
-	if cur.Hits < prev.Hits || cur.Misses < prev.Misses ||
-		cur.Invalidations < prev.Invalidations {
-		prev = exec.CacheStats{} // counters restarted: count from zero
-	}
-	in.pre.hits.Add(cur.Hits - prev.Hits)
-	in.pre.misses.Add(cur.Misses - prev.Misses)
-	in.pre.invals.Add(cur.Invalidations - prev.Invalidations)
+	in.pre.hits.Add(d.Hits)
+	in.pre.misses.Add(d.Misses)
+	in.pre.invals.Add(d.Invalidations)
 }
 
 func (in *instance) quarantineWarn(bs []byte, detail string) {

@@ -1,4 +1,5 @@
-// The sharded parallel compliance engine.
+// The sharded compliance engine: the only Phase B engine. Workers 0 and 1
+// run it as a single shard covering the whole suite.
 //
 // Phase B is embarrassingly parallel: every test-case execution owns a
 // pre-loaded simulator image, so case i on clone A never observes case j
@@ -13,8 +14,8 @@
 // reference outcomes the same worker just produced, so there is no
 // cross-shard data flow at all. The partial cells are merged in shard
 // order — and shards are contiguous ascending case ranges, so counter
-// sums and example-index concatenation reproduce exactly the serial
-// engine's case-order traversal. Reference runs overlap SUT runs across
+// sums and example-index concatenation reproduce exactly a single
+// shard's case-order traversal. Reference runs overlap SUT runs across
 // workers (worker 0 can be comparing while worker 1 still generates
 // references), which is safe for the same reason.
 package compliance
@@ -90,8 +91,8 @@ type ProgressEvent struct {
 	Execs int
 }
 
-// workerCount resolves the Workers knob: <=1 serial, N parallel,
-// negative = one worker per available CPU.
+// workerCount resolves the Workers knob: <=1 one shard, N shards,
+// negative = one shard per available CPU.
 func (r *Runner) workerCount() int {
 	if r.Workers < 0 {
 		return runtime.GOMAXPROCS(0)
@@ -107,13 +108,6 @@ func (r *Runner) addExecs(worker, n int) {
 	r.Stats.PerWorker[worker].Execs += n
 	r.Stats.Execs += n
 	r.tel.addExecs(n)
-}
-
-// emitProgress invokes the Progress hook if set (single-goroutine path).
-func (r *Runner) emitProgress(ev ProgressEvent) {
-	if r.Progress != nil {
-		r.Progress(ev)
-	}
 }
 
 // shard is a contiguous [Lo, Hi) range of case indexes.
@@ -137,11 +131,11 @@ func shardRanges(n, workers int) []shard {
 	return out
 }
 
-// runConfigParallel is the sharded engine (Workers > 1) for one
-// configuration row. Every worker owns private harnessed instances of
-// the reference and each supported SUT — breakers and watchdog rebuilds
-// included — so the resilience machinery needs no locking.
-func (r *Runner) runConfigParallel(ctx context.Context, suite *Suite, cfg isa.Config, workers int) ([]Cell, int, error) {
+// runConfig is the sharded engine for one configuration row. Every
+// worker owns private harnessed instances of the reference and each
+// supported SUT — breakers and watchdog rebuilds included — so the
+// resilience machinery needs no locking.
+func (r *Runner) runConfig(ctx context.Context, suite *Suite, cfg isa.Config, workers int) ([]Cell, int, error) {
 	maxEx := r.maxExamples()
 	shards := shardRanges(len(suite.Cases), workers)
 

@@ -1,10 +1,13 @@
 package compliance
 
 import (
+	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
 	"rvnegtest/internal/isa"
+	"rvnegtest/internal/obs"
 	"rvnegtest/internal/sim"
 )
 
@@ -42,7 +45,7 @@ func TestShardRanges(t *testing.T) {
 }
 
 // TestParallelRunnerBitIdentical is the engine's core guarantee: any
-// worker count produces a report byte-identical to the serial engine —
+// worker count produces a report byte-identical to a single shard —
 // rendered table, JSON (including per-cell categories, examples and
 // skipped counts), everything.
 func TestParallelRunnerBitIdentical(t *testing.T) {
@@ -144,7 +147,7 @@ func TestParallelRunnerStats(t *testing.T) {
 		t.Error("empty stats rendering")
 	}
 
-	// The serial engine fills the same stats shape.
+	// A single shard fills the same stats shape.
 	s := DefaultRunner()
 	if _, err := s.Run(suite); err != nil {
 		t.Fatal(err)
@@ -200,5 +203,70 @@ func TestWorkerCount(t *testing.T) {
 	}
 	if got := (&Runner{Workers: -1}).workerCount(); got < 1 {
 		t.Errorf("auto workers = %d", got)
+	}
+}
+
+// TestSingleShardEvents pins what Workers 0 and 1 report while running
+// as one shard of the sharded engine: per row, one reference Progress
+// event and one per supported SUT, in column order, each covering the
+// whole suite as worker 0; and shard_done / cell_done events with the
+// same worker, range and execution counts.
+func TestSingleShardEvents(t *testing.T) {
+	suite := handSuite()
+	n := len(suite.Cases)
+	for _, workers := range []int{0, 1} {
+		r, _, buf := telemetryRunner(workers)
+		var got []ProgressEvent
+		r.Progress = func(ev ProgressEvent) { got = append(got, ev) }
+		rep, err := r.Run(suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Events.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var want []ProgressEvent
+		var wantEvents []obs.Event
+		for i, cfg := range rep.Configs {
+			want = append(want, ProgressEvent{Config: cfg, Hi: n, Execs: n})
+			wantEvents = append(wantEvents, obs.Event{Type: "shard_done", Config: cfg.String(), Sim: rep.RefName, Hi: n, Execs: uint64(n)})
+			for j, name := range rep.Sims {
+				c := rep.Cells[i][j]
+				if !c.Supported {
+					continue
+				}
+				ran := n - c.Skipped - c.SkippedUnhealthy
+				want = append(want, ProgressEvent{Config: cfg, Sim: name, Hi: n, Execs: ran})
+				wantEvents = append(wantEvents, obs.Event{Type: "cell_done", Config: cfg.String(), Sim: name, Hi: n, Execs: uint64(ran)})
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d progress events, want %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d: progress event %d = %+v, want %+v", workers, i, got[i], want[i])
+			}
+		}
+
+		evs, err := obs.ReadEvents(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shardEvents []obs.Event
+		for _, ev := range evs {
+			if ev.Type == "shard_done" || ev.Type == "cell_done" {
+				ev.Seq, ev.TNS, ev.DurNS = 0, 0, 0
+				shardEvents = append(shardEvents, ev)
+			}
+		}
+		if len(shardEvents) != len(wantEvents) {
+			t.Fatalf("workers=%d: %d shard/cell events, want %d", workers, len(shardEvents), len(wantEvents))
+		}
+		for i := range wantEvents {
+			if fmt.Sprint(shardEvents[i]) != fmt.Sprint(wantEvents[i]) {
+				t.Errorf("workers=%d: event %d = %+v, want %+v", workers, i, shardEvents[i], wantEvents[i])
+			}
+		}
 	}
 }

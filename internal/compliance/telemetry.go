@@ -9,7 +9,7 @@ import (
 // runnerTelemetry holds a Run's pre-resolved observability handles. It is
 // nil when both Runner.Obs and Runner.Events are unset, and every use site
 // guards on that nil (zero-cost-off, like fuzz.telemetry). Per-SUT
-// counters are resolved once per Run so the engines never take the
+// counters are resolved once per Run so the engine never takes the
 // registry lock on the hot path; the counters themselves are atomics, so
 // parallel workers share them without locking.
 //

@@ -98,7 +98,7 @@ func TestComplianceTelemetryCounters(t *testing.T) {
 // TestComplianceTelemetryParallel hammers a multi-worker run with the
 // Progress hook, a shared registry and a shared event stream (run under
 // -race in CI): emission must stay serialized and strictly monotonic, and
-// the deterministic totals must match the serial engine's.
+// the deterministic totals must match a single shard's.
 func TestComplianceTelemetryParallel(t *testing.T) {
 	suite := handSuite()
 

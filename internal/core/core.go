@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -15,23 +16,26 @@ import (
 	"rvnegtest/internal/template"
 )
 
-// GenerateSuite runs Phase A: a fuzzing campaign bounded by execution
-// count and/or wall time, returning the collected test suite.
-func GenerateSuite(cfg fuzz.Config, maxExecs uint64, maxDur time.Duration) (*compliance.Suite, fuzz.Stats, error) {
-	f, err := fuzz.New(cfg)
+// Generate runs Phase A as a fuzz.Campaign and assembles its suite. It is
+// the one place a generated suite takes shape — the # origin: line and,
+// for trap suites, the directed privileged probes appended after any
+// minimization — so the CLIs, the daemon, compliance generation and the
+// library all write the same bytes for the same campaign. On error the
+// suite is nil; an interrupted campaign returns fuzz.ErrInterrupted with
+// the partial per-worker stats.
+func Generate(ctx context.Context, cfg fuzz.Config, cc fuzz.CampaignConfig) (*compliance.Suite, []fuzz.Stats, error) {
+	cases, stats, err := fuzz.Campaign(ctx, cfg, cc)
 	if err != nil {
-		return nil, fuzz.Stats{}, err
+		return nil, stats, err
 	}
-	if err := f.Run(maxExecs, maxDur); err != nil {
-		return nil, f.Stats(), err
+	var execs uint64
+	for _, st := range stats {
+		execs += st.Execs
 	}
-	f.FlushTelemetry()
-	st := f.Stats()
 	suite := &compliance.Suite{
-		Cases:  f.Corpus(),
+		Cases:  cases,
 		Family: cfg.Family,
-		Origin: fmt.Sprintf("fuzzer seed=%d isa=%v execs=%d cov-points=%d",
-			cfg.Seed, cfg.ISA, st.Execs, st.CovPoints),
+		Origin: fmt.Sprintf("parallel fuzzer workers=%d seed=%d execs=%d", len(stats), cfg.Seed, execs),
 	}
 	if cfg.Family == template.FamilyTrap {
 		// The directed probes bypass the filter (they write mtvec and
@@ -39,7 +43,18 @@ func GenerateSuite(cfg fuzz.Config, maxExecs uint64, maxDur time.Duration) (*com
 		// least one witnessing case regardless of the fuzzing budget.
 		suite.Cases = append(suite.Cases, fuzz.TrapDirectedCases()...)
 	}
-	return suite, st, nil
+	return suite, stats, nil
+}
+
+// GenerateSuite runs Phase A on one worker, bounded by execution count
+// and/or wall time, returning the collected test suite.
+func GenerateSuite(cfg fuzz.Config, maxExecs uint64, maxDur time.Duration) (*compliance.Suite, fuzz.Stats, error) {
+	suite, stats, err := Generate(context.Background(), cfg,
+		fuzz.CampaignConfig{Workers: 1, ExecsEach: maxExecs, WallBudget: maxDur})
+	if err != nil {
+		return nil, fuzz.Stats{}, err
+	}
+	return suite, stats[0], nil
 }
 
 // GrowthResult is one configuration's outcome in the Fig. 4 experiment.
@@ -58,14 +73,12 @@ func GrowthExperiment(maxExecs uint64, maxDur time.Duration, seed int64) ([]Grow
 		cfg := fuzz.DefaultConfig()
 		cfg.Coverage = opts
 		cfg.Seed = seed
-		suiteless, err := fuzz.New(cfg)
+		_, stats, err := fuzz.Campaign(context.Background(), cfg,
+			fuzz.CampaignConfig{Workers: 1, ExecsEach: maxExecs, WallBudget: maxDur})
 		if err != nil {
 			return nil, err
 		}
-		if err := suiteless.Run(maxExecs, maxDur); err != nil {
-			return nil, err
-		}
-		out = append(out, GrowthResult{Name: name, Stats: suiteless.Stats()})
+		out = append(out, GrowthResult{Name: name, Stats: stats[0]})
 	}
 	return out, nil
 }

@@ -51,6 +51,20 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Invalidations += o.Invalidations
 }
 
+// Since returns the counter growth from an earlier reading prev to s.
+// A counter below its earlier value means the lineage restarted under
+// the reader (a rebuilt executor), so the growth counts from zero.
+func (s CacheStats) Since(prev CacheStats) CacheStats {
+	if s.Hits < prev.Hits || s.Misses < prev.Misses || s.Invalidations < prev.Invalidations {
+		prev = CacheStats{}
+	}
+	return CacheStats{
+		Hits:          s.Hits - prev.Hits,
+		Misses:        s.Misses - prev.Misses,
+		Invalidations: s.Invalidations - prev.Invalidations,
+	}
+}
+
 // DecodeCache maps a predecoded code range to ready-to-dispatch entries
 // for one ISA configuration. The Predecoded itself is immutable and
 // shared across clones; the entries array is per-cache, so invalidation

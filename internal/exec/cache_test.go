@@ -302,3 +302,24 @@ func TestPredecodeCrashQuirkDeferred(t *testing.T) {
 	}()
 	e.Step()
 }
+
+// TestCacheStatsSince: the delta between two readings of one lineage is
+// the plain per-counter growth; a reading below the earlier one (the
+// executor was rebuilt and its counters restarted) counts from zero
+// instead of underflowing.
+func TestCacheStatsSince(t *testing.T) {
+	prev := CacheStats{Hits: 10, Misses: 4, Invalidations: 2}
+	cur := CacheStats{Hits: 15, Misses: 4, Invalidations: 3}
+	if got, want := cur.Since(prev), (CacheStats{Hits: 5, Invalidations: 1}); got != want {
+		t.Errorf("growth = %+v, want %+v", got, want)
+	}
+	for _, restarted := range []CacheStats{
+		{Hits: 3, Misses: 9, Invalidations: 9},
+		{Hits: 99, Misses: 1, Invalidations: 9},
+		{Hits: 99, Misses: 9, Invalidations: 1},
+	} {
+		if got := restarted.Since(prev); got != restarted {
+			t.Errorf("%+v.Since(%+v) = %+v, want the reading itself", restarted, prev, got)
+		}
+	}
+}

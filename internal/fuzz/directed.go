@@ -19,7 +19,7 @@ import "rvnegtest/internal/isa"
 //     shows whether the WARL write mask was applied.
 //
 // Directed cases deliberately bypass the static filter (a generated case
-// would be dropped for writing mtvec); they are appended by GenerateSuite,
+// would be dropped for writing mtvec); they are appended by core.Generate,
 // not injected into the mutation corpus.
 func TrapDirectedCases() [][]byte {
 	words := func(ws ...uint32) []byte {

@@ -309,15 +309,11 @@ func (f *Fuzzer) notePredecode() {
 		return
 	}
 	cur := ps.PredecodeStats()
-	prev := f.lastPre
+	d := cur.Since(f.lastPre)
 	f.lastPre = cur
-	if cur.Hits < prev.Hits || cur.Misses < prev.Misses ||
-		cur.Invalidations < prev.Invalidations {
-		prev = exec.CacheStats{} // counters restarted under us: count from zero
-	}
-	f.tel.preHits.Add(cur.Hits - prev.Hits)
-	f.tel.preMiss.Add(cur.Misses - prev.Misses)
-	f.tel.preInval.Add(cur.Invalidations - prev.Invalidations)
+	f.tel.preHits.Add(d.Hits)
+	f.tel.preMiss.Add(d.Misses)
+	f.tel.preInval.Add(d.Invalidations)
 }
 
 // Step performs one fuzzer execution; it reports whether the input was

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"rvnegtest/internal/obs"
 )
@@ -16,13 +17,19 @@ import (
 var ErrInterrupted = errors.New("fuzz: campaign interrupted")
 
 // CampaignConfig shapes a (possibly parallel, possibly resumable)
-// campaign around the per-fuzzer Config.
+// campaign around the per-fuzzer Config. Campaign is the only Phase A
+// driver: a single fuzzer is a one-worker campaign.
 type CampaignConfig struct {
 	// Workers is the number of independent fuzzers (each seeded
 	// cfg.Seed + worker index); values below 1 mean 1.
 	Workers int
-	// ExecsEach is each worker's execution budget.
+	// ExecsEach is each worker's execution budget (0 = unbounded; then
+	// WallBudget must be set).
 	ExecsEach uint64
+	// WallBudget bounds each worker's wall time (0 = unbounded). It is
+	// ignored with CheckpointDir set: a resumed campaign needs a
+	// deterministic bound, so checkpointed campaigns are exec-bounded.
+	WallBudget time.Duration
 	// CheckpointDir, when set, enables checkpoint/resume: each worker
 	// keeps its state under <dir>/worker-NNN, saved every
 	// CheckpointEvery executions and on cancellation, and an existing
@@ -32,7 +39,8 @@ type CampaignConfig struct {
 	// (default 100000 when checkpointing is enabled).
 	CheckpointEvery uint64
 	// Minimize replays the merged corpus and drops cases that add no
-	// coverage (always on for multi-worker merges via ParallelCampaign).
+	// coverage, with the replay sharded across the worker count
+	// (MinimizeParallel).
 	Minimize bool
 }
 
@@ -48,10 +56,6 @@ func Campaign(ctx context.Context, cfg Config, cc CampaignConfig) ([][]byte, []S
 	workers := cc.Workers
 	if workers < 1 {
 		workers = 1
-	}
-	every := cc.CheckpointEvery
-	if every == 0 {
-		every = 100000
 	}
 	type result struct {
 		corpus [][]byte
@@ -83,7 +87,7 @@ func Campaign(ctx context.Context, cfg Config, cc CampaignConfig) ([][]byte, []S
 				results[w].err = err
 				return
 			}
-			err = runWorker(ctx, f, dir, cc.ExecsEach, every)
+			err = runWorker(ctx, f, dir, cc)
 			f.FlushTelemetry()
 			results[w] = result{corpus: f.Corpus(), stats: f.Stats(), err: err}
 		}(w)
@@ -128,11 +132,16 @@ func newOrResume(cfg Config, dir string) (*Fuzzer, error) {
 	return New(cfg)
 }
 
-// runWorker drives one fuzzer to its execution budget in checkpoint-sized
-// chunks, persisting after each chunk and once more on cancellation.
-func runWorker(ctx context.Context, f *Fuzzer, dir string, budget, every uint64) error {
+// runWorker drives one fuzzer to its budget; with a checkpoint directory
+// it runs in checkpoint-sized chunks, persisting after each chunk and
+// once more on cancellation.
+func runWorker(ctx context.Context, f *Fuzzer, dir string, cc CampaignConfig) error {
 	if dir == "" {
-		return f.RunContext(ctx, budget, 0)
+		return f.RunContext(ctx, cc.ExecsEach, cc.WallBudget)
+	}
+	budget, every := cc.ExecsEach, cc.CheckpointEvery
+	if every == 0 {
+		every = 100000
 	}
 	for f.Execs() < budget {
 		next := f.Execs() + every
@@ -148,18 +157,4 @@ func runWorker(ctx context.Context, f *Fuzzer, dir string, budget, every uint64)
 		}
 	}
 	return nil
-}
-
-// ParallelCampaign runs `workers` independent fuzzers concurrently and
-// merges their corpora in worker order; the merged corpus is minimized
-// against the configuration's coverage so redundant cases from different
-// workers collapse, with the minimization replay sharded across the same
-// worker count (MinimizeParallel). Kept as the simple non-resumable entry
-// point; Campaign adds cancellation and checkpoint/resume.
-func ParallelCampaign(cfg Config, workers int, execsEach uint64) ([][]byte, []Stats, error) {
-	return Campaign(context.Background(), cfg, CampaignConfig{
-		Workers:   workers,
-		ExecsEach: execsEach,
-		Minimize:  true,
-	})
 }
