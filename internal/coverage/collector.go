@@ -102,9 +102,7 @@ func (c *Collector) OnInst(inst *isa.Inst, h *hart.Hart) {
 		c.Map.Hit(c.hashBase + fnv1a32(inst.Raw)%uint32(c.opts.HashN))
 	}
 	if c.opts.Rules != nil {
-		c.opts.Rules.Eval(inst, h, func(pt uint32) {
-			c.Map.Hit(c.ruleBase + pt)
-		})
+		c.opts.Rules.hit(inst, h, c.Map, c.ruleBase)
 	}
 }
 

@@ -1,6 +1,8 @@
 package coverage
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -112,6 +114,11 @@ func TestParseSpecDefault(t *testing.T) {
 	if cfg.Values[0] != -1<<31 || cfg.Values[1] != 1<<31-1 || cfg.Values[2] != -1 {
 		t.Errorf("values = %v", cfg.Values)
 	}
+	corners := []int64{-1 << 31, 1<<31 - 1, -1, 0, 1}
+	want := RuleConfig{RDZero: true, RDRS1: true, Regs3: true, Rel: true, Values: corners, ImmRel: true, ImmValues: corners}
+	if !reflect.DeepEqual(cfg, want) {
+		t.Errorf("DefaultSpec = %+v, want %+v", cfg, want)
+	}
 }
 
 func TestParseSpecErrors(t *testing.T) {
@@ -119,14 +126,37 @@ func TestParseSpecErrors(t *testing.T) {
 		"nonsense line",
 		"unknown: x",
 		"values: 12zz",
+		// Unknown tokens on a family line no longer disable (rd) or
+		// enable (regs3) the family silently.
+		"rd: bogus",
+		"rd: zero bogus",
+		"rdrs1: eq lt",
+		"regs3: whatever",
+		"rel: eq le",
+		"immrel: ge",
+		// A corner list past the cap would give point 256 the arg of
+		// point 0 in an 8-bit (kind, arg) encoding.
+		"values:" + strings.Repeat(" 1", maxCorners+1),
+		"immvalues:" + strings.Repeat(" 0", maxCorners+1),
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q): want error", bad)
 		}
 	}
-	// Comments and empty lines are fine.
-	if _, err := ParseSpec("# comment\n\nrd: zero\n"); err != nil {
-		t.Errorf("comment spec: %v", err)
+	// Comments, empty lines, empty family lines and a full corner list
+	// are fine.
+	for _, good := range []string{
+		"# comment\n\nrd: zero\n",
+		"rd:\nregs3:",
+		"values:" + strings.Repeat(" 1", maxCorners),
+	} {
+		if _, err := ParseSpec(good); err != nil {
+			t.Errorf("ParseSpec(%q): %v", good, err)
+		}
+	}
+	cfg, err := ParseSpec("rd:\nregs3:")
+	if err != nil || cfg.RDZero || cfg.Regs3 {
+		t.Errorf("empty family lines must leave the families off: %+v, %v", cfg, err)
 	}
 }
 
@@ -152,18 +182,20 @@ func mustSpec(t *testing.T) RuleConfig {
 }
 
 func TestRuleEval(t *testing.T) {
-	rs := NewRuleSet(mustSpec(t))
+	cfg := mustSpec(t)
+	rs, ref := NewRuleSet(cfg), newRefRuleSet(cfg)
 	h := hart.New(isa.RV32I)
+	// collect names the reference kinds of the points the compiled table
+	// hits.
 	collect := func(inst isa.Inst) map[uint8]bool {
 		kinds := map[uint8]bool{}
-		pts := rs.points[inst.Op]
-		rs.Eval(&inst, h, func(id uint32) {
-			for i, pid := range rs.ids[inst.Op] {
-				if pid == id {
-					kinds[pts[i].kind] = true
-				}
+		for _, id := range compiledHits(t, rs, &inst, h) {
+			k, ok := ref.kindOf(inst.Op, id)
+			if !ok {
+				t.Fatalf("%v: hit %d is not one of the op's points", inst.Op, id)
 			}
-		})
+			kinds[k] = true
+		}
 		return kinds
 	}
 
@@ -210,10 +242,8 @@ func TestRuleEvalNoPointsForBareOps(t *testing.T) {
 	rs := NewRuleSet(mustSpec(t))
 	h := hart.New(isa.RV32I)
 	inst := isa.Inst{Op: isa.OpECALL}
-	count := 0
-	rs.Eval(&inst, h, func(uint32) { count++ })
-	if count != 0 {
-		t.Errorf("ecall hit %d rule points", count)
+	if hits := compiledHits(t, rs, &inst, h); len(hits) != 0 {
+		t.Errorf("ecall hit rule points %v", hits)
 	}
 }
 
@@ -380,5 +410,68 @@ func TestFrontierRoundTrip(t *testing.T) {
 
 	if err := m2.RestoreFrontier(make([]byte, 3)); err == nil {
 		t.Fatal("size mismatch accepted")
+	}
+}
+
+// onInstMix is a fixed instruction and hart-state mix for the collector's
+// allocation pin and benchmark: every op of the database with rotating
+// register fields and immediates, over registers seeded with corners.
+func onInstMix() ([]isa.Inst, *hart.Hart) {
+	h := hart.New(isa.RV32I)
+	vals := []uint32{0, 1, 0xffffffff, 0x80000000, 0x7fffffff, 42, 0xfffff800, 7}
+	for i := range h.X {
+		h.X[i] = vals[i%len(vals)]
+	}
+	imms := []int32{0, -1, 1, -2048, 2047, 31, 5, -16}
+	var mix []isa.Inst
+	for i := range isa.Instructions {
+		op := isa.Instructions[i].Op
+		for j := 0; j < 4; j++ {
+			n := i*4 + j
+			mix = append(mix, isa.Inst{
+				Op: op, Rd: isa.Reg(n % 8), Rs1: isa.Reg(n * 3 % 8), Rs2: isa.Reg(n * 5 % 8),
+				Imm: imms[n%len(imms)], Raw: isa.Instructions[i].Match | uint32(n)<<7,
+			})
+		}
+	}
+	return mix, h
+}
+
+// TestCollectorAllocFree pins the coverage hot path: once the map's
+// touched list has grown, a run of v3 OnInst/OnEdge calls and the merge
+// after it allocate nothing.
+func TestCollectorAllocFree(t *testing.T) {
+	c := NewCollector(V3())
+	mix, h := onInstMix()
+	run := func() {
+		for i := range mix {
+			c.OnInst(&mix[i], h)
+			c.OnEdge(uint32(i) % uint32(exec.EdgeSpace()))
+		}
+		c.Map.MergeNew()
+	}
+	run()
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Errorf("steady-state OnInst+OnEdge+MergeNew: %v allocs per run, want 0", n)
+	}
+}
+
+// BenchmarkCollectorOnInst measures the v3 per-instruction hook (hash and
+// rule coverage) over the fixed mix, merging after each pass like a run.
+func BenchmarkCollectorOnInst(b *testing.B) {
+	c := NewCollector(V3())
+	mix, h := onInstMix()
+	for i := range mix { // grow the map's touched list before timing
+		c.OnInst(&mix[i], h)
+	}
+	c.Map.MergeNew()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(mix)
+		c.OnInst(&mix[k], h)
+		if k == len(mix)-1 {
+			c.Map.MergeNew()
+		}
 	}
 }

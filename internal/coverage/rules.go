@@ -2,6 +2,7 @@ package coverage
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -35,7 +36,14 @@ immrel:    eq ne lt gt
 immvalues: min max -1 0 1
 `
 
-// ParseSpec reads a rule specification.
+// maxCorners caps a values/immvalues list. Every corner adds a coverage
+// point to each op that reads the register (or has an immediate), so the
+// cap bounds the map a specification can demand.
+const maxCorners = 255
+
+// ParseSpec reads a rule specification. A family line enables its family
+// when it names at least one of the family's tokens; an unknown token, an
+// unknown family or a corner list longer than maxCorners is an error.
 func ParseSpec(src string) (RuleConfig, error) {
 	var cfg RuleConfig
 	for lineNo, raw := range strings.Split(src, "\n") {
@@ -51,46 +59,47 @@ func ParseSpec(src string) (RuleConfig, error) {
 			return cfg, fmt.Errorf("coverage: spec line %d: missing ':'", lineNo+1)
 		}
 		fields := strings.Fields(rest)
+		var err error
 		switch strings.TrimSpace(key) {
 		case "rd":
-			cfg.RDZero = contains(fields, "zero") || contains(fields, "nonzero")
+			cfg.RDZero, err = family(fields, "zero", "nonzero")
 		case "rdrs1":
-			cfg.RDRS1 = contains(fields, "eq") || contains(fields, "ne")
+			cfg.RDRS1, err = family(fields, "eq", "ne")
 		case "regs3":
-			cfg.Regs3 = len(fields) > 0
+			cfg.Regs3, err = family(fields, "alleq", "allne", "someeq")
 		case "rel":
-			cfg.Rel = len(fields) > 0
+			cfg.Rel, err = family(fields, "eq", "ne", "lt", "gt")
 		case "values":
-			vs, err := parseValues(fields)
-			if err != nil {
-				return cfg, fmt.Errorf("coverage: spec line %d: %v", lineNo+1, err)
-			}
-			cfg.Values = vs
+			cfg.Values, err = parseValues(fields)
 		case "immrel":
-			cfg.ImmRel = len(fields) > 0
+			cfg.ImmRel, err = family(fields, "eq", "ne", "lt", "gt")
 		case "immvalues":
-			vs, err := parseValues(fields)
-			if err != nil {
-				return cfg, fmt.Errorf("coverage: spec line %d: %v", lineNo+1, err)
-			}
-			cfg.ImmValues = vs
+			cfg.ImmValues, err = parseValues(fields)
 		default:
 			return cfg, fmt.Errorf("coverage: spec line %d: unknown family %q", lineNo+1, key)
+		}
+		if err != nil {
+			return cfg, fmt.Errorf("coverage: spec line %d: %v", lineNo+1, err)
 		}
 	}
 	return cfg, nil
 }
 
-func contains(fields []string, s string) bool {
+// family reports whether a family line enables its family (it names at
+// least one token), rejecting tokens the family does not define.
+func family(fields []string, tokens ...string) (bool, error) {
 	for _, f := range fields {
-		if f == s {
-			return true
+		if !slices.Contains(tokens, f) {
+			return false, fmt.Errorf("unknown token %q (want %s)", f, strings.Join(tokens, ", "))
 		}
 	}
-	return false
+	return len(fields) > 0, nil
 }
 
 func parseValues(fields []string) ([]int64, error) {
+	if len(fields) > maxCorners {
+		return nil, fmt.Errorf("%d corner values, at most %d allowed", len(fields), maxCorners)
+	}
 	var out []int64
 	for _, f := range fields {
 		switch f {
@@ -109,58 +118,56 @@ func parseValues(fields []string) ([]int64, error) {
 	return out, nil
 }
 
-// rule kinds evaluated per instruction.
+// Rule families. NewRuleSet gives each op the IDs of its families in
+// this order, a contiguous run per family, so evaluating the families in
+// this order hits an instruction's points in ascending ID order.
 const (
-	ruleRDZero uint8 = iota
-	ruleRDNonzero
-	ruleRDEqRS1
-	ruleRDNeRS1
-	rule3AllEq
-	rule3AllNe
-	rule3SomeEq
-	rule3RDEqRS2
-	rule3RS1EqRS2
-	ruleRelEq
-	ruleRelNe
-	ruleRelLt
-	ruleRelGt
-	ruleRS1Val // arg = value index
-	ruleRS2Val
-	ruleImmVal
-	ruleImmRelEq
-	ruleImmRelNe
-	ruleImmRelLt
-	ruleImmRelGt
+	famRD     uint8 = 1 << iota // RD == x0, RD != x0
+	famRDRS1                    // RD == RS1, RD != RS1
+	famRegs3                    // all equal, all different, one pair equal, RD == RS2, RS1 == RS2
+	famRel                      // Reg[RS1] ==, !=, <, > Reg[RS2]
+	famRS1Val                   // Reg[RS1] == corner, one point per value
+	famRS2Val                   // Reg[RS2] == corner, one point per value
+	famImmVal                   // imm == corner, one point per immediate value
+	famImmRel                   // imm ==, !=, <, > Reg[RS1]
 )
 
-type rulePoint struct {
-	kind uint8
-	arg  uint8
+// opRules is one op's compiled rules: the first ID of each family the op
+// has, with every operand the evaluation compares against resolved once.
+type opRules struct {
+	fams                           uint8 // famXxx bits of the op's families
+	readsRS1, readsRS2             bool  // integer source registers, read for the value rules
+	rd, rdRS1, regs3, rel          uint32
+	rs1Val, rs2Val, immVal, immRel uint32
+	imm                            []int32 // immediate corners for the op's format
 }
 
-// RuleSet is the compiled coverage specification: per operation, the list
-// of applicable coverage points with globally unique IDs.
+// RuleSet is the compiled coverage specification: per operation, the
+// rule families that apply and the globally unique IDs of their points.
 type RuleSet struct {
-	cfg    RuleConfig
-	points [][]rulePoint // indexed by Op, parallel ids
-	ids    [][]uint32
-	total  int
+	ops   []opRules // indexed by Op
+	vals  []int32   // register-value corners as signed 32-bit values
+	total int
 }
 
 // NewRuleSet compiles a configuration against the instruction database.
 func NewRuleSet(cfg RuleConfig) *RuleSet {
-	rs := &RuleSet{cfg: cfg}
-	n := isa.NumOps()
-	rs.points = make([][]rulePoint, n)
-	rs.ids = make([][]uint32, n)
+	rs := &RuleSet{ops: make([]opRules, isa.NumOps())}
+	for _, v := range cfg.Values {
+		rs.vals = append(rs.vals, int32(v))
+	}
 	next := uint32(0)
-	add := func(op isa.Op, kind, arg uint8) {
-		rs.points[op] = append(rs.points[op], rulePoint{kind, arg})
-		rs.ids[op] = append(rs.ids[op], next)
-		next++
+	// alloc records that the op has fam with n points and returns the
+	// family's first ID.
+	alloc := func(r *opRules, fam uint8, n int) uint32 {
+		r.fams |= fam
+		first := next
+		next += uint32(n)
+		return first
 	}
 	for i := range isa.Instructions {
 		in := &isa.Instructions[i]
+		r := &rs.ops[in.Op]
 		fl := in.Flags
 		intRD := fl.Is(isa.FlagWritesRD)
 		hasRD := intRD || fl.Is(isa.FlagFPRd)
@@ -170,47 +177,35 @@ func NewRuleSet(cfg RuleConfig) *RuleSet {
 		intRS2 := fl.Is(isa.FlagReadsRS2)
 		hasImm := in.Fmt == isa.FmtI || in.Fmt == isa.FmtIShift || in.Fmt == isa.FmtS ||
 			in.Fmt == isa.FmtB || in.Fmt == isa.FmtU || in.Fmt == isa.FmtJ
+		r.readsRS1, r.readsRS2 = intRS1, intRS2
 
 		if cfg.RDZero && intRD {
-			add(in.Op, ruleRDZero, 0)
-			add(in.Op, ruleRDNonzero, 0)
+			r.rd = alloc(r, famRD, 2)
 		}
 		if cfg.RDRS1 && intRD && hasRS1 && !fl.Is(isa.FlagFPRs1) {
-			add(in.Op, ruleRDEqRS1, 0)
-			add(in.Op, ruleRDNeRS1, 0)
+			r.rdRS1 = alloc(r, famRDRS1, 2)
 		}
 		if cfg.Regs3 && hasRD && hasRS1 && hasRS2 {
-			add(in.Op, rule3AllEq, 0)
-			add(in.Op, rule3AllNe, 0)
-			add(in.Op, rule3SomeEq, 0)
-			add(in.Op, rule3RDEqRS2, 0)
-			add(in.Op, rule3RS1EqRS2, 0)
+			r.regs3 = alloc(r, famRegs3, 5)
 		}
 		if cfg.Rel && intRS1 && intRS2 {
-			add(in.Op, ruleRelEq, 0)
-			add(in.Op, ruleRelNe, 0)
-			add(in.Op, ruleRelLt, 0)
-			add(in.Op, ruleRelGt, 0)
+			r.rel = alloc(r, famRel, 4)
 		}
-		if intRS1 {
-			for vi := range cfg.Values {
-				add(in.Op, ruleRS1Val, uint8(vi))
-			}
+		if intRS1 && len(rs.vals) > 0 {
+			r.rs1Val = alloc(r, famRS1Val, len(rs.vals))
 		}
-		if intRS2 {
-			for vi := range cfg.Values {
-				add(in.Op, ruleRS2Val, uint8(vi))
-			}
+		if intRS2 && len(rs.vals) > 0 {
+			r.rs2Val = alloc(r, famRS2Val, len(rs.vals))
 		}
 		if hasImm {
-			for vi := range cfg.ImmValues {
-				add(in.Op, ruleImmVal, uint8(vi))
+			if len(cfg.ImmValues) > 0 {
+				r.immVal = alloc(r, famImmVal, len(cfg.ImmValues))
+				for _, v := range cfg.ImmValues {
+					r.imm = append(r.imm, immCorner(v, in.Fmt))
+				}
 			}
 			if cfg.ImmRel && intRS1 {
-				add(in.Op, ruleImmRelEq, 0)
-				add(in.Op, ruleImmRelNe, 0)
-				add(in.Op, ruleImmRelLt, 0)
-				add(in.Op, ruleImmRelGt, 0)
+				r.immRel = alloc(r, famImmRel, 4)
 			}
 		}
 	}
@@ -268,80 +263,88 @@ func immCorner(v int64, fmtKind isa.Format) int32 {
 	return int32(v)
 }
 
-// Eval reports the rule points the instruction hits, invoking hit for each.
-func (rs *RuleSet) Eval(inst *isa.Inst, h *hart.Hart, hit func(uint32)) {
-	pts := rs.points[inst.Op]
-	if len(pts) == 0 {
+// hit records, on m at offset base, every rule point the instruction hits,
+// in ascending ID order. Each family is decided by a few compares; a
+// relation family hits exactly the points whose relation holds.
+func (rs *RuleSet) hit(inst *isa.Inst, h *hart.Hart, m *Map, base uint32) {
+	r := &rs.ops[inst.Op]
+	fams := r.fams
+	if fams == 0 {
 		return
 	}
-	ids := rs.ids[inst.Op]
-	info := inst.Info()
 	var rv1, rv2 int32
-	if info.Flags.Is(isa.FlagReadsRS1) {
+	if r.readsRS1 {
 		rv1 = int32(h.ReadX(inst.Rs1))
 	}
-	if info.Flags.Is(isa.FlagReadsRS2) {
+	if r.readsRS2 {
 		rv2 = int32(h.ReadX(inst.Rs2))
 	}
-	for i, p := range pts {
-		ok := false
-		switch p.kind {
-		case ruleRDZero:
-			ok = inst.Rd == 0
-		case ruleRDNonzero:
-			ok = inst.Rd != 0
-		case ruleRDEqRS1:
-			ok = inst.Rd == inst.Rs1
-		case ruleRDNeRS1:
-			ok = inst.Rd != inst.Rs1
-		case rule3AllEq:
-			ok = inst.Rd == inst.Rs1 && inst.Rs1 == inst.Rs2
-		case rule3AllNe:
-			ok = inst.Rd != inst.Rs1 && inst.Rs1 != inst.Rs2 && inst.Rd != inst.Rs2
-		case rule3RDEqRS2:
-			ok = inst.Rd == inst.Rs2
-		case rule3RS1EqRS2:
-			ok = inst.Rs1 == inst.Rs2
-		case rule3SomeEq:
-			eq := 0
-			if inst.Rd == inst.Rs1 {
-				eq++
-			}
-			if inst.Rs1 == inst.Rs2 {
-				eq++
-			}
-			if inst.Rd == inst.Rs2 {
-				eq++
-			}
-			ok = eq == 1
-		case ruleRelEq:
-			ok = rv1 == rv2
-		case ruleRelNe:
-			ok = rv1 != rv2
-		case ruleRelLt:
-			ok = rv1 < rv2
-		case ruleRelGt:
-			ok = rv1 > rv2
-		case ruleRS1Val:
-			ok = int64(rv1) == corner32(rs.cfg.Values[p.arg])
-		case ruleRS2Val:
-			ok = int64(rv2) == corner32(rs.cfg.Values[p.arg])
-		case ruleImmVal:
-			ok = inst.Imm == immCorner(rs.cfg.ImmValues[p.arg], info.Fmt)
-		case ruleImmRelEq:
-			ok = inst.Imm == rv1
-		case ruleImmRelNe:
-			ok = inst.Imm != rv1
-		case ruleImmRelLt:
-			ok = inst.Imm < rv1
-		case ruleImmRelGt:
-			ok = inst.Imm > rv1
+	rd, rs1, rs2 := inst.Rd, inst.Rs1, inst.Rs2
+	if fams&famRD != 0 {
+		m.Hit(base + r.rd + b2u(rd != 0))
+	}
+	if fams&famRDRS1 != 0 {
+		m.Hit(base + r.rdRS1 + b2u(rd != rs1))
+	}
+	if fams&famRegs3 != 0 {
+		// Register equality is transitive, so either all three pairs
+		// match, none does, or exactly one does.
+		a, b, c := rd == rs1, rs1 == rs2, rd == rs2
+		switch {
+		case a && b:
+			m.Hit(base + r.regs3) // all equal
+		case !a && !b && !c:
+			m.Hit(base + r.regs3 + 1) // all different
+		default:
+			m.Hit(base + r.regs3 + 2) // exactly one pair equal
 		}
-		if ok {
-			hit(ids[i])
+		if c {
+			m.Hit(base + r.regs3 + 3)
+		}
+		if b {
+			m.Hit(base + r.regs3 + 4)
+		}
+	}
+	if fams&famRel != 0 {
+		relHit(m, base+r.rel, rv1, rv2)
+	}
+	if fams&famRS1Val != 0 {
+		cornerHit(m, base+r.rs1Val, rs.vals, rv1)
+	}
+	if fams&famRS2Val != 0 {
+		cornerHit(m, base+r.rs2Val, rs.vals, rv2)
+	}
+	if fams&famImmVal != 0 {
+		cornerHit(m, base+r.immVal, r.imm, inst.Imm)
+	}
+	if fams&famImmRel != 0 {
+		relHit(m, base+r.immRel, inst.Imm, rv1)
+	}
+}
+
+// relHit records the relation points (==, !=, <, >) at first..first+3
+// that hold for x OP y: == alone, or != with one of < and >.
+func relHit(m *Map, first uint32, x, y int32) {
+	if x == y {
+		m.Hit(first)
+		return
+	}
+	m.Hit(first + 1)
+	m.Hit(first + 2 + b2u(x > y))
+}
+
+// cornerHit records point first+i for every corner i equal to v.
+func cornerHit(m *Map, first uint32, corners []int32, v int32) {
+	for i, c := range corners {
+		if c == v {
+			m.Hit(first + uint32(i))
 		}
 	}
 }
 
-// corner32 interprets a configured corner value as a signed 32-bit value.
-func corner32(v int64) int64 { return int64(int32(v)) }
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -34,6 +34,17 @@ if [ -n "$esc" ]; then
   exit 1
 fi
 
+# The coverage hook runs on every hooked instruction, so the same rule
+# holds for the collector, the map and the compiled rule tables;
+# TestCollectorAllocFree is the behavioural pin.
+echo "== escape analysis (internal/coverage hot path) =="
+esc=$(go build -gcflags=-m ./internal/coverage 2>&1 | grep -E '/(collector|map|rules)\.go:[0-9]+:[0-9]+: moved to heap' || true)
+if [ -n "$esc" ]; then
+  echo "heap escapes on the coverage hot path:"
+  echo "$esc"
+  exit 1
+fi
+
 # Optional gates: run when installed (CI installs them; offline dev
 # boxes may not have them).
 if command -v staticcheck >/dev/null 2>&1; then
